@@ -34,9 +34,9 @@
 //! figure; smoke preserves the shapes in seconds.
 
 use soc_bench::{
-    diag_hostility, diag_lambda05, diag_lambda05_with, fig4, fig5, fig8, fig8_checkpointing, perf,
-    print_diag, print_diag_compare, print_fig8, print_hostility, print_series, print_table3,
-    reports_json, table3, Scale,
+    diag_hostility, diag_lambda05, diag_lambda05_khdn, diag_lambda05_with, fig4, fig5, fig8,
+    fig8_checkpointing, perf, print_diag, print_diag_compare, print_fig8, print_hostility,
+    print_route_budget, print_series, print_table3, reports_json, table3, Scale,
 };
 use soc_scenario::{record_run, replay_run, ScenarioSpec, Trace};
 use soc_sim::RunReport;
@@ -374,6 +374,10 @@ fn run_diag(scale: Scale, seed: u64, jitter: f64) -> Sections {
             println!("#   {}", r.diag);
         }
     }
+    println!("\n== routing budget: state updates that ran out of hops (HID-CAN vs KHDN-CAN) ==");
+    let khdn = diag_lambda05_khdn(scale, seed);
+    let both: Vec<RunReport> = base.iter().chain(&khdn).cloned().collect();
+    println!("{}", print_route_budget(&both));
     println!("\n== candidate-set diversification: corner jitter {jitter} ==");
     let jit = diag_lambda05_with(scale, seed, jitter);
     println!("{}", print_diag_compare(&base, &jit, jitter));
@@ -382,6 +386,7 @@ fn run_diag(scale: Scale, seed: u64, jitter: f64) -> Sections {
     println!("{}", print_hostility(&ab));
     vec![
         ("baseline".to_string(), base),
+        ("khdn".to_string(), khdn),
         (format!("jitter={jitter}"), jit),
         ("hostility-clean".to_string(), vec![ab.clean]),
         ("hostility-undefended".to_string(), vec![ab.undefended]),

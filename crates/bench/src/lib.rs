@@ -215,6 +215,38 @@ pub fn diag_lambda05_with(scale: Scale, seed: u64, jitter: f64) -> Vec<RunReport
     )
 }
 
+/// KHDN-CAN on the cells of [`diag_lambda05`], so `repro diag` can set
+/// both protocols' routing-budget counters side by side.
+pub fn diag_lambda05_khdn(scale: Scale, seed: u64) -> Vec<RunReport> {
+    run_cells(
+        scale
+            .table3_nodes
+            .iter()
+            .map(|&n| {
+                scale
+                    .scenario(ProtocolChoice::Khdn)
+                    .nodes(n)
+                    .lambda(0.5)
+                    .seed(seed)
+            })
+            .collect(),
+    )
+}
+
+/// State updates that ran out of routing budget before reaching their
+/// duty node (the protocols' `updates_exhausted` diag counter), one row
+/// per run; `-` for a protocol without the counter.
+pub fn print_route_budget(reports: &[RunReport]) -> String {
+    let mut out = String::from("protocol\tscenario\tupdates_exhausted\n");
+    for r in reports {
+        let exhausted = r
+            .diag_counter("updates_exhausted")
+            .map_or("-".to_string(), |n| n.to_string());
+        out.push_str(&format!("{}\t{}\t{}\n", r.label, r.scenario, exhausted));
+    }
+    out
+}
+
 /// One hostility A/B: the same HID-CAN λ=0.5 run on the clean network,
 /// under `blackhole_frac` byzantine nodes with the defence off, and under
 /// the same faults with the blacklist/retry defence on.

@@ -28,7 +28,8 @@ impl RouteOutcome {
 /// One greedy step from `current` toward `target`.
 ///
 /// Returns `None` when `current`'s zone already contains `target`.
-/// Ties are broken by node id so routing is deterministic.
+/// Neighbors rank as in [`greedy_next_hop_filtered`], so routing is
+/// deterministic and terminates on zone boundaries.
 pub fn greedy_next_hop(ov: &CanOverlay, current: NodeId, target: &Point) -> Option<NodeId> {
     let zone = ov.zone(current).expect("routing from a dead node");
     if zone.contains(target) {
@@ -52,15 +53,20 @@ pub fn greedy_next_hop(ov: &CanOverlay, current: NodeId, target: &Point) -> Opti
 ///
 /// The caller must already have established that `current`'s zone does not
 /// contain `target`. Neighbors without a zone (mid-churn staleness) are
-/// skipped; ties break by node id. Returns `None` when no neighbor is
-/// accepted (an isolated sender).
+/// skipped. Neighbors rank by (closed-box distance, excluded upper faces
+/// the target sits on ([`crate::Zone::excluded_faces_at`]), node id). The face
+/// count is what makes a walk terminate on zone boundaries: distance alone
+/// ties every zone touching a boundary target at 0, and an id tie-break can
+/// then cycle among them. With the face count, every hop from a distance-0
+/// zone lowers the count, so the owner is at most `d` hops away. Returns
+/// `None` when no neighbor is accepted (an isolated sender).
 pub fn greedy_next_hop_filtered(
     ov: &CanOverlay,
     current: NodeId,
     target: &Point,
     mut accept: impl FnMut(NodeId) -> bool,
 ) -> Option<NodeId> {
-    let mut best: Option<(f64, NodeId)> = None;
+    let mut best: Option<(f64, u32, NodeId)> = None;
     for e in ov.neighbors(current) {
         if !accept(e.node) {
             continue;
@@ -68,16 +74,16 @@ pub fn greedy_next_hop_filtered(
         let Some(nz) = ov.zone(e.node) else {
             continue;
         };
-        let d = nz.dist_to_point(target);
-        let better = match best {
-            None => true,
-            Some((bd, bn)) => d < bd || (d == bd && e.node < bn),
-        };
-        if better {
-            best = Some((d, e.node));
+        let key = (
+            nz.dist_to_point(target),
+            nz.excluded_faces_at(target),
+            e.node,
+        );
+        if best.is_none_or(|b| key < b) {
+            best = Some(key);
         }
     }
-    best.map(|(_, n)| n)
+    best.map(|(_, _, n)| n)
 }
 
 /// Walk the full greedy route from `from` to the owner of `target`.
@@ -171,6 +177,25 @@ mod tests {
             let p = random_point(5, &mut rng);
             let out = route_path(&ov, NodeId(3), &p, 1_000);
             assert_eq!(out.owner, Some(ov.owner_of(&p)));
+        }
+    }
+
+    #[test]
+    fn quadrant_centre_is_reached_from_every_quadrant() {
+        // The four quadrants meet at (0.5, 0.5), which only the upper-right
+        // one owns. An id-only tie-break cycled between the two lower
+        // quadrants here; the face count reaches the owner in ≤ 2 hops.
+        let mut ov = CanOverlay::new(2, 4, NodeId(0));
+        let q = |x: f64, y: f64| Point::from_slice(&[x, y]);
+        ov.join(NodeId(1), &q(0.75, 0.25));
+        ov.join(NodeId(2), &q(0.25, 0.75));
+        ov.join(NodeId(3), &q(0.75, 0.75));
+        let centre = q(0.5, 0.5);
+        let owner = ov.owner_of(&centre);
+        assert_eq!(owner, NodeId(3));
+        for from in ov.live_nodes() {
+            let out = route_path(&ov, from, &centre, 2);
+            assert_eq!(out.owner, Some(owner), "from {from}: {:?}", out.path);
         }
     }
 

@@ -175,6 +175,19 @@ impl Zone {
         acc.sqrt()
     }
 
+    /// Number of the zone's *excluded* upper faces that `p` lies on: the
+    /// dimensions where `p[d] == hi[d] < 1.0`. The closed box touches such
+    /// a point (distance 0) but the half-open zone does not own it; zero at
+    /// distance 0 means [`Zone::contains`]. Greedy routing ranks equally
+    /// distant neighbors by this count, because a zone on an excluded face
+    /// always has a face-neighbor across it with a strictly smaller count.
+    pub fn excluded_faces_at(&self, p: &Point) -> u32 {
+        debug_assert_eq!(self.dim(), p.dim());
+        (0..self.dim())
+            .filter(|&d| self.hi[d] < 1.0 && p[d] == self.hi[d])
+            .count() as u32
+    }
+
     /// Clamp `p` into the closed zone (nearest point of the box).
     pub fn clamp_point(&self, p: &Point) -> Point {
         let mut q = *p;

@@ -44,6 +44,10 @@ pub struct PidDiag {
     pub jump_visits: u64,
     /// Jump visits that found at least one qualified record.
     pub jump_hits: u64,
+    /// State updates dropped because their routing budget ran out before
+    /// they reached their duty node (this layer's failed operations; zero
+    /// when routing terminates, as it must on a consistent overlay).
+    pub updates_exhausted: u64,
 }
 
 /// PID-CAN (SID/HID ± SoS ± VD) as a pluggable discovery overlay.
@@ -644,6 +648,7 @@ impl DiscoveryOverlay for PidCan {
         self.diag.agent_pil_empty += other.diag.agent_pil_empty;
         self.diag.jump_visits += other.diag.jump_visits;
         self.diag.jump_hits += other.diag.jump_hits;
+        self.diag.updates_exhausted += other.diag.updates_exhausted;
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, PidMsg>, node: NodeId, msg: PidMsg) {
@@ -678,8 +683,10 @@ impl DiscoveryOverlay for PidCan {
                             stored_at: ctx.now,
                         });
                     }
+                } else {
+                    // Budget exhausted: drop; the next cycle re-publishes.
+                    self.diag.updates_exhausted += 1;
                 }
-                // Budget exhausted: drop; the next cycle re-publishes.
             }
             PidMsg::Index {
                 id,

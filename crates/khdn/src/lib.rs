@@ -125,6 +125,15 @@ pub enum KhdnMsg {
     },
 }
 
+/// KHDN-CAN diagnostics (not part of the protocol).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct KhdnDiag {
+    /// State updates whose routing budget ran out before they reached
+    /// their duty node. KHDN absorbs such a record where it stopped, so
+    /// it is cached (and replicated) away from its point.
+    pub updates_exhausted: u64,
+}
+
 /// Per-query bookkeeping at the requester side (outstanding sweep
 /// branches, so exhaustion is reported exactly once).
 #[derive(Clone, Debug, Default)]
@@ -145,6 +154,7 @@ pub struct KhdnCan {
     /// Recycled buffer for cache probes (one `qualified_into` per duty or
     /// sweep visit; no per-visit Vec).
     found_buf: Vec<StateRecord>,
+    diag: KhdnDiag,
 }
 
 impl KhdnCan {
@@ -157,6 +167,7 @@ impl KhdnCan {
             route_budget: 4 * (n.max(2) as f64).log2().ceil() as u32 + 16,
             router: Router::from_env(),
             found_buf: Vec::new(),
+            diag: KhdnDiag::default(),
         }
     }
 
@@ -458,6 +469,10 @@ impl DiscoveryOverlay for KhdnCan {
         "KHDN-CAN"
     }
 
+    fn diag_string(&self) -> String {
+        format!("{:?}", self.diag)
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_, KhdnMsg>) {
         let nodes: Vec<NodeId> = ctx.can.live_nodes().collect();
         for node in nodes {
@@ -475,6 +490,9 @@ impl DiscoveryOverlay for KhdnCan {
             } => {
                 let here = ctx.can.zone(node).is_some_and(|z| z.contains(&target));
                 if here || hops_left == 0 {
+                    if !here {
+                        self.diag.updates_exhausted += 1;
+                    }
                     self.absorb_record(ctx, node, rec);
                 } else {
                     let m = KhdnMsg::StateUpdate {

@@ -138,6 +138,18 @@ pub struct RunReport {
 pub const FINGERPRINT_EXCLUDED: &[&str] = &["wall_ms", "profile"];
 
 impl RunReport {
+    /// The counter `name` from the protocol's [`RunReport::diag`] string
+    /// (written `name: value`, as a derived `Debug` prints it); `None` when
+    /// the protocol reports no such counter.
+    pub fn diag_counter(&self, name: &str) -> Option<u64> {
+        let key = format!("{name}: ");
+        let at = self.diag.find(&key)? + key.len();
+        let digits = self.diag[at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()?;
+        digits.parse().ok()
+    }
+
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
@@ -398,6 +410,16 @@ mod tests {
         let r = fake();
         assert_eq!(r.msg_count(MsgKind::StateUpdate), 3000);
         assert_eq!(r.msg_count(MsgKind::IndexJump), 0);
+    }
+
+    #[test]
+    fn diag_counter_reads_debug_fields() {
+        let mut r = fake();
+        assert_eq!(r.diag_counter("updates_exhausted"), None);
+        r.diag = "PidDiag { jump_hits: 7, updates_exhausted: 12 }".into();
+        assert_eq!(r.diag_counter("jump_hits"), Some(7));
+        assert_eq!(r.diag_counter("updates_exhausted"), Some(12));
+        assert_eq!(r.diag_counter("agent_visits"), None);
     }
 
     #[test]

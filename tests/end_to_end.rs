@@ -55,6 +55,23 @@ fn determinism_across_identical_runs() {
 }
 
 #[test]
+fn state_updates_never_exhaust_the_routing_budget() {
+    // An idle node's availability normalises to Table I levels such as
+    // 0.25 or 0.5, which lie on CAN zone boundaries. Routing must still
+    // deliver every state update to its duty node within the hop budget.
+    for p in [ProtocolChoice::Hid, ProtocolChoice::Khdn] {
+        let r = tiny(p, 1).run();
+        assert_eq!(
+            r.diag_counter("updates_exhausted"),
+            Some(0),
+            "{}: {}",
+            r.label,
+            r.diag
+        );
+    }
+}
+
+#[test]
 fn seeds_actually_matter() {
     let a = tiny(ProtocolChoice::Hid, 1).run();
     let b = tiny(ProtocolChoice::Hid, 2).run();
