@@ -16,8 +16,6 @@
 //! repro perf --trend      # no timing: load bench_history/, print per-axis
 //!                         #   speedup trajectories across revisions, exit 1
 //!                         #   on an above-threshold wall-time regression
-//! repro perf --import F   # migrate a legacy BENCH_PR2.json snapshot into
-//!                         #   bench_history/ (tag it with --rev)
 //! repro diag              # λ=0.5 rejection split (oracle on), baseline vs
 //!                         #   search-corner jitter (--jitter)
 //! repro scenario FILE     # run a scenario file (see scenarios/ gallery);
@@ -56,7 +54,6 @@ struct Args {
     trend: bool,
     rev: Option<String>,
     history: String,
-    import: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -75,7 +72,6 @@ fn parse_args() -> Args {
         trend: false,
         rev: None,
         history: soc_bench::history::DEFAULT_DIR.to_string(),
-        import: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -136,12 +132,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 });
             }
-            "--import" => {
-                args.import = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--import needs a legacy BENCH_PR2.json path");
-                    std::process::exit(2);
-                }));
-            }
             "--jitter" => {
                 args.jitter = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                     eprintln!("--jitter needs a number");
@@ -165,14 +155,14 @@ fn parse_args() -> Args {
             "usage: repro <fig4|fig5|fig8|table3|ckpt|perf|diag|all> \
              [--scale full|smoke|bench] [--seed N] [--lambda L] [--json PATH] \
              [--reps N] [--jitter J]\n\
-             \x20      repro perf [--trend] [--rev SHA] [--history DIR] [--import PATH]\n\
+             \x20      repro perf [--trend] [--rev SHA] [--history DIR]\n\
              \x20      repro scenario FILE [--seed N] [--record PATH] [--json PATH]\n\
              \x20      repro replay TRACE [--json PATH]"
         );
         std::process::exit(2);
     }
-    if (args.trend || args.rev.is_some() || args.import.is_some()) && args.cmd != "perf" {
-        eprintln!("--trend/--rev/--import only apply to `repro perf`");
+    if (args.trend || args.rev.is_some()) && args.cmd != "perf" {
+        eprintln!("--trend/--rev only apply to `repro perf`");
         std::process::exit(2);
     }
     args
@@ -299,22 +289,6 @@ fn run_perf(args: &Args, seed: u64) {
     use soc_bench::history;
     let hist_dir = std::path::Path::new(&args.history);
 
-    if let Some(legacy) = &args.import {
-        let rev = detect_rev(args);
-        let path = history::import_legacy(
-            hist_dir,
-            std::path::Path::new(legacy),
-            &rev,
-            &detect_rustc(),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("cannot import {legacy}: {e}");
-            std::process::exit(1);
-        });
-        println!("imported legacy snapshot {legacy} -> {}", path.display());
-        return;
-    }
-
     if args.trend {
         let records = history::load(hist_dir).unwrap_or_else(|e| {
             eprintln!("cannot load {}: {e}", hist_dir.display());
@@ -322,7 +296,7 @@ fn run_perf(args: &Args, seed: u64) {
         });
         let Some(t) = history::trend(&records) else {
             eprintln!(
-                "no history records in {} (run `repro perf` or `repro perf --import BENCH_PR2.json` first)",
+                "no history records in {} (run `repro perf` first)",
                 hist_dir.display()
             );
             std::process::exit(1);
@@ -434,6 +408,9 @@ fn run_scenario_cmd(args: &Args) -> (Sections, u64) {
     println!("{}", report.summary());
     println!("{}", report.series_rows());
     println!("# fingerprint: {:016x}", fingerprint_hash(&report));
+    if let Some(table) = perf::attribution_table(&spec.name, &report) {
+        println!("\n{table}");
+    }
     let seed = spec.scenario.seed;
     (vec![(spec.name.clone(), vec![report])], seed)
 }

@@ -1,9 +1,9 @@
 //! Append-only bench history: one flat JSON record per `repro perf` run
 //! under `bench_history/`, plus a small rebuildable index.
 //!
-//! The previous flow overwrote `BENCH_PR2.json` in place, so a perf
-//! regression between PRs was only catchable by re-reading README prose.
-//! Here every run *appends* a record stamped with its git rev and rustc
+//! A single snapshot overwritten in place would make a perf regression
+//! between revisions catchable only by re-reading README prose. Here
+//! every run *appends* a record stamped with its git rev and rustc
 //! version (both passed in by the caller — never read via wall-clock or
 //! env tricks, keeping `soc-lint` clean), and [`trend`] reads the whole
 //! series back to print per-axis speedup trajectories and flag any
@@ -126,28 +126,6 @@ pub fn append(
     std::fs::write(&path, record + "\n")?;
     rebuild_index(dir)?;
     Ok(path)
-}
-
-/// Migrate a legacy overwrite-in-place `BENCH_PR2.json` snapshot into the
-/// history as a normal record tagged with the rev that produced it.
-pub fn import_legacy(
-    dir: &Path,
-    legacy_path: &Path,
-    rev: &str,
-    rustc: &str,
-) -> io::Result<PathBuf> {
-    let legacy = std::fs::read_to_string(legacy_path)?;
-    let v = json::parse(&legacy).map_err(|e| io_err(format!("{}: {e}", legacy_path.display())))?;
-    let scale = v
-        .get("scale")
-        .and_then(Value::as_str)
-        .ok_or_else(|| io_err("legacy snapshot has no \"scale\"".into()))?
-        .to_string();
-    let seed = v
-        .get("seed")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| io_err("legacy snapshot has no \"seed\"".into()))?;
-    append(dir, &legacy, rev, rustc, &scale, seed)
 }
 
 /// Next free sequence number (max existing + 1; 1 when empty).
@@ -841,23 +819,6 @@ mod tests {
         assert_eq!(t.skipped, 1);
         assert!(!t.regressed());
         assert!(t.render().contains("single record"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_import_wraps_the_snapshot() {
-        let dir = tmpdir("legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let legacy = dir.join("BENCH_PR2.json");
-        std::fs::write(&legacy, fake_perf_json(123, 456, 1.07)).unwrap();
-        let p = import_legacy(&dir.join("hist"), &legacy, "f453940", "rustc 1.82.0").unwrap();
-        assert!(p.file_name().unwrap().to_str().unwrap().contains("f453940"));
-        let recs = load(&dir.join("hist")).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].rev, "f453940");
-        assert_eq!(recs[0].scale, "bench");
-        assert_eq!(recs[0].seed, 7);
-        assert_eq!(recs[0].rows[0].wall_ms, 123);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

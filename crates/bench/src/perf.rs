@@ -18,6 +18,7 @@
 //! shared `soc_sim::json` writer.
 
 use crate::{fig4, sweep, table3, Scale};
+use soc_sim::RunReport;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -292,9 +293,16 @@ pub fn profile_attribution(scale: Scale, seed: u64) -> Option<String> {
         .lambda(0.5)
         .seed(seed)
         .run();
-    let profile = report.profile?;
+    attribution_table(&format!("HID-CAN n={nodes} λ=0.5 seed={seed}"), &report)
+}
+
+/// The profiler's per-phase attribution table for `report` under a
+/// `what` heading; `None` when the run carried no profile (`SOC_PROFILE`
+/// off).
+pub fn attribution_table(what: &str, report: &RunReport) -> Option<String> {
+    let profile = report.profile.as_ref()?;
     let mut out = format!(
-        "== phase attribution: HID-CAN n={nodes} λ=0.5 seed={seed} (SOC_PROFILE=on, wall {} ms) ==\n",
+        "== phase attribution: {what} (SOC_PROFILE=on, wall {} ms) ==\n",
         report.wall_ms
     );
     out.push_str(&profile.render());

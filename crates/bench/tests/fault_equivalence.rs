@@ -95,6 +95,33 @@ fn zero_fault_runs_match_pre_fault_pins() {
     assert!(!churn.faults.any());
 }
 
+/// `PIN_CHURN` under blackholes and loss: 150 nodes run in 5 shards, so
+/// churn departures, the owner-only `on_node_left` hook and the per-shard
+/// blacklist clearing all run across shard boundaries. Pinned with the
+/// defence on (the blacklist path) and off (recorded via `repro
+/// scenario`).
+#[test]
+fn defended_multi_shard_churn_matches_pin() {
+    let spec = format!("{PIN_CHURN}\n[fault]\nblackhole = 0.15\nloss = 0.01\n");
+    let on = with_env("on", None, || run_spec(&spec));
+    let off = with_env("off", None, || run_spec(&spec));
+    assert!(
+        on.faults.blacklisted > 0 && on.faults.retries > 0,
+        "the defence never engaged: {:?}",
+        on.faults
+    );
+    assert_eq!(
+        fnv(&on),
+        0xe350_5a1b_5bbe_0ef2,
+        "defended multi-shard churn run diverged from the pinned baseline"
+    );
+    assert_eq!(
+        fnv(&off),
+        0x0159_a955_aa37_d2bd,
+        "undefended multi-shard churn run diverged from the pinned baseline"
+    );
+}
+
 /// Omitting `[fault]` and writing it out all-zero are the same run.
 #[test]
 fn fault_section_absent_equals_explicit_zero() {

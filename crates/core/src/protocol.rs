@@ -12,8 +12,9 @@ use soc_net::MsgKind;
 use soc_overlay::{
     Candidate, Ctx, DiscoveryOverlay, Phase, QueryRequest, QueryVerdict, RecordCache, StateRecord,
 };
-use soc_types::{NodeId, QueryId, ResVec};
+use soc_types::{NodeId, NodeRows, QueryId, ResVec};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Timer discriminants.
 const T_STATE: u32 = 0;
@@ -52,19 +53,20 @@ pub struct PidDiag {
 
 /// PID-CAN (SID/HID ± SoS ± VD) as a pluggable discovery overlay.
 ///
-/// `Clone` exists for the sharded executor's pristine per-shard forks
-/// ([`DiscoveryOverlay::fork_shard`]); it is only ever taken before
-/// `on_start`, while all per-node state is empty.
-#[derive(Clone)]
+/// Per-node state (finger tables, record caches, PILists) covers a range
+/// of node ids: every id for [`PidCan::new`], one shard's own ids for a
+/// [`DiscoveryOverlay::fork_shard`] fork.
 pub struct PidCan {
     cfg: PidCanConfig,
+    /// Expected overlay size (sizes the fingers and the routing budget).
+    n: usize,
     tables: IndexTables,
     /// Routed-message facade: every next-hop decision (forward, re-route
     /// around a dead hop) goes through here so the `SOC_ROUTE` cache can
     /// memoize the hot (node, target) pairs of a duty-routing burst.
     router: Router,
-    caches: Vec<RecordCache>,
-    pilists: Vec<PiList>,
+    caches: NodeRows<RecordCache>,
+    pilists: NodeRows<PiList>,
     queries: HashMap<QueryId, QueryState>,
     overlay_dim: usize,
     route_budget: u32,
@@ -83,18 +85,29 @@ impl PidCan {
     /// smaller spaces. With VD enabled, `overlay_dim` must be one more than
     /// the resource-vector dimensionality.
     pub fn new(cfg: PidCanConfig, overlay_dim: usize, n: usize, max_nodes: usize) -> Self {
-        let dim = overlay_dim;
+        Self::for_ids(cfg, overlay_dim, n, 0..max_nodes, Router::from_env())
+    }
+
+    /// An instance whose per-node state holds rows for `ids` only.
+    fn for_ids(
+        cfg: PidCanConfig,
+        overlay_dim: usize,
+        n: usize,
+        ids: Range<usize>,
+        router: Router,
+    ) -> Self {
         // Generous routing TTL: 4·log2(n) + 16 covers INSCAN detours under
         // churn while bounding worst-case wandering.
         let route_budget = 4 * (n.max(2) as f64).log2().ceil() as u32 + 16;
         PidCan {
             cfg,
-            tables: IndexTables::new(dim, n, max_nodes),
-            router: Router::from_env(),
-            caches: vec![RecordCache::new(cfg.record_ttl_ms); max_nodes],
-            pilists: vec![PiList::new(); max_nodes],
+            n,
+            tables: IndexTables::for_ids(overlay_dim, n, ids.clone()),
+            router,
+            caches: NodeRows::new(ids.clone(), RecordCache::new(cfg.record_ttl_ms)),
+            pilists: NodeRows::new(ids, PiList::new()),
             queries: HashMap::new(),
-            overlay_dim: dim,
+            overlay_dim,
             route_budget,
             diag: PidDiag::default(),
             found_buf: Vec::new(),
@@ -124,12 +137,12 @@ impl PidCan {
 
     /// Read access to a node's record cache (tests/diagnostics).
     pub fn cache(&self, node: NodeId) -> &RecordCache {
-        &self.caches[node.idx()]
+        &self.caches[node]
     }
 
     /// Read access to a node's PIList (tests/diagnostics).
     pub fn pilist(&self, node: NodeId) -> &PiList {
-        &self.pilists[node.idx()]
+        &self.pilists[node]
     }
 
     /// Map a raw resource vector to a CAN key-space point, appending the
@@ -302,7 +315,7 @@ impl PidCan {
         dim_no: usize,
         dim_ttl: usize,
     ) {
-        self.pilists[node.idx()].insert(id, ctx.now);
+        self.pilists[node].insert(id, ctx.now);
         let table = self.tables.get(node);
         match self.cfg.diffusion {
             DiffusionMethod::Hopping => {
@@ -404,7 +417,7 @@ impl PidCan {
         if self.cfg.check_duty_cache {
             let mut found = std::mem::take(&mut self.found_buf);
             let t = ctx.prof.start();
-            self.caches[duty.idx()].qualified_into(&demand, ctx.now, &mut found);
+            self.caches[duty].qualified_into(&demand, ctx.now, &mut found);
             ctx.prof.stop(Phase::CacheProbe, t);
             if !found.is_empty() {
                 delta = delta.saturating_sub(found.len());
@@ -638,8 +651,15 @@ impl DiscoveryOverlay for PidCan {
         true
     }
 
-    fn fork_shard(&self) -> Option<Self> {
-        Some(self.clone())
+    fn fork_shard(&self, ids: Range<usize>) -> Option<Self> {
+        let router = Router::with_backend(self.router.backend());
+        Some(Self::for_ids(
+            self.cfg,
+            self.overlay_dim,
+            self.n,
+            ids,
+            router,
+        ))
     }
 
     fn absorb_diag(&mut self, other: &Self) {
@@ -664,7 +684,7 @@ impl DiscoveryOverlay for PidCan {
                     zone.contains(&target)
                 };
                 if consumed {
-                    self.caches[node.idx()].insert(StateRecord {
+                    self.caches[node].insert(StateRecord {
                         subject,
                         avail,
                         stored_at: ctx.now,
@@ -677,7 +697,7 @@ impl DiscoveryOverlay for PidCan {
                         hops_left: hops_left - 1,
                     };
                     if self.forward_toward(ctx, node, &target, MsgKind::StateUpdate, m) {
-                        self.caches[node.idx()].insert(StateRecord {
+                        self.caches[node].insert(StateRecord {
                             subject,
                             avail,
                             stored_at: ctx.now,
@@ -730,7 +750,7 @@ impl DiscoveryOverlay for PidCan {
                 agents,
             } => {
                 // Algorithm 4: sample a jump list from the local PIList.
-                let jumps = self.pilists[node.idx()].sample(
+                let jumps = self.pilists[node].sample(
                     self.cfg.jump_sample,
                     ctx.now,
                     self.cfg.pilist_ttl_ms,
@@ -757,7 +777,7 @@ impl DiscoveryOverlay for PidCan {
                 // Algorithm 5: search the local cache.
                 let mut found = std::mem::take(&mut self.found_buf);
                 let t = ctx.prof.start();
-                self.caches[node.idx()].qualified_into(&demand, ctx.now, &mut found);
+                self.caches[node].qualified_into(&demand, ctx.now, &mut found);
                 ctx.prof.stop(Phase::CacheProbe, t);
                 self.diag.jump_visits += 1;
                 let cands: Vec<Candidate> = found
@@ -775,7 +795,7 @@ impl DiscoveryOverlay for PidCan {
                 } else if budget > 0 {
                     // §III-B1 relay: extend the chain with this index
                     // node's own positive-index knowledge.
-                    for extra in self.pilists[node.idx()].sample(
+                    for extra in self.pilists[node].sample(
                         self.cfg.jump_refill,
                         ctx.now,
                         self.cfg.pilist_ttl_ms,
@@ -815,7 +835,7 @@ impl DiscoveryOverlay for PidCan {
                     hops_left: self.route_budget,
                 };
                 if self.forward_toward(ctx, node, &target, MsgKind::StateUpdate, msg) {
-                    self.caches[node.idx()].insert(StateRecord {
+                    self.caches[node].insert(StateRecord {
                         subject: node,
                         avail,
                         stored_at: ctx.now,
@@ -824,9 +844,9 @@ impl DiscoveryOverlay for PidCan {
                 ctx.timer(node, T_STATE, self.cfg.state_update_ms);
             }
             T_DIFFUSE => {
-                self.caches[node.idx()].purge_expired(ctx.now);
-                self.pilists[node.idx()].purge(ctx.now, self.cfg.pilist_ttl_ms);
-                if !self.caches[node.idx()].is_empty_at(ctx.now) {
+                self.caches[node].purge_expired(ctx.now);
+                self.pilists[node].purge(ctx.now, self.cfg.pilist_ttl_ms);
+                if !self.caches[node].is_empty_at(ctx.now) {
                     self.diffuse_index(ctx, node);
                 }
                 ctx.timer(node, T_DIFFUSE, self.cfg.diffusion_ms);
@@ -869,16 +889,18 @@ impl DiscoveryOverlay for PidCan {
     }
 
     fn on_node_joined(&mut self, ctx: &mut Ctx<'_, PidMsg>, node: NodeId) {
-        self.caches[node.idx()] = RecordCache::new(self.cfg.record_ttl_ms);
-        self.pilists[node.idx()] = PiList::new();
+        self.caches[node] = RecordCache::new(self.cfg.record_ttl_ms);
+        self.pilists[node] = PiList::new();
         let stats = self.tables.refresh_node(node, ctx.can, ctx.rng);
         ctx.charge(node, MsgKind::Maintenance, stats.probe_msgs);
         self.arm_node_timers(ctx, node);
     }
 
     fn on_node_left(&mut self, _ctx: &mut Ctx<'_, PidMsg>, node: NodeId) {
-        self.caches[node.idx()] = RecordCache::new(self.cfg.record_ttl_ms);
-        self.pilists[node.idx()] = PiList::new();
+        // Delivered only to the departed node's own shard: its rows and the
+        // queries it requested all live there.
+        self.caches[node] = RecordCache::new(self.cfg.record_ttl_ms);
+        self.pilists[node] = PiList::new();
         self.tables.clear_node(node);
         // Abandon queries the departed requester owned. Fingers elsewhere
         // that still point at the dead node are skipped by routing and
@@ -929,7 +951,7 @@ impl DiscoveryOverlay for PidCan {
                     hops_left: hops_left - 1,
                 };
                 if self.forward_avoiding(ctx, from, &target, MsgKind::StateUpdate, m, to) {
-                    self.caches[from.idx()].insert(StateRecord {
+                    self.caches[from].insert(StateRecord {
                         subject,
                         avail,
                         stored_at: ctx.now,

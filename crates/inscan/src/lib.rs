@@ -24,4 +24,4 @@ pub mod table;
 pub use router::{RouteBackend, RouteCacheStats, Router};
 pub use routing::{inscan_next_hop, inscan_route};
 pub use rq::{range_query, RangeQueryOutcome};
-pub use table::{kmax_for, IndexTable, IndexTables, WalkStats};
+pub use table::{kmax_for, IndexRow, IndexTables, WalkStats};

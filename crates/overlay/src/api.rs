@@ -5,6 +5,7 @@ use soc_can::CanOverlay;
 use soc_net::{MsgCounts, MsgKind};
 use soc_profile::ProfRef;
 use soc_types::{NodeId, QueryId, ResVec, SimMillis};
+use std::ops::Range;
 
 /// Protocol-defined timer discriminant (e.g. "state-update cycle",
 /// "diffusion cycle"). Values are private to each protocol.
@@ -247,13 +248,20 @@ pub trait DiscoveryOverlay {
         false
     }
 
-    /// Clone a pristine per-shard instance (called once per shard before
-    /// `on_start_nodes`, while all per-node state is still empty). `None`
-    /// (the default) also forces a single shard.
-    fn fork_shard(&self) -> Option<Self>
+    /// Build a pristine per-shard instance whose per-node state holds rows
+    /// for `ids` only — the shard's own node ids, a contiguous range.
+    /// Called once per shard (every shard, shard 0 included, whenever there
+    /// is more than one) before `on_start_nodes`; the instance it was
+    /// called on is then dropped. The handlers of a fork are only ever
+    /// invoked for nodes in `ids`: `on_node_left`, too, reaches only the
+    /// departed node's shard. The executor first probes support with an
+    /// empty range, so a fork must be cheap to build for `0..0`. `None`
+    /// (the default) forces a single shard.
+    fn fork_shard(&self, ids: Range<usize>) -> Option<Self>
     where
         Self: Sized,
     {
+        let _ = ids;
         None
     }
 
@@ -280,7 +288,9 @@ pub trait DiscoveryOverlay {
     /// A node joined the overlay (churn); per-node state should be reset.
     fn on_node_joined(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: NodeId);
 
-    /// A node left the overlay (churn); references to it should be dropped.
+    /// A node left the overlay (churn); its per-node state should be
+    /// reset. Runs on the departed node's shard only (row-local
+    /// bookkeeping: no sends, no randomness).
     fn on_node_left(&mut self, ctx: &mut Ctx<'_, Self::Msg>, node: NodeId);
 
     /// Diagnostic: free-form protocol counters for calibration reports.

@@ -23,7 +23,8 @@
 
 use std::collections::BTreeMap;
 
-use soc_types::{NodeId, SimMillis};
+use soc_types::{NodeId, NodeRows, SimMillis};
+use std::ops::Range;
 
 /// Tunables for the suspicion/blacklist/retry pipeline.
 #[derive(Clone, Copy, Debug)]
@@ -65,10 +66,11 @@ struct Entry {
     until: SimMillis,
 }
 
-/// Per-node blacklists: `per[by]` maps suspected node → entry.
+/// Per-node blacklists: `per[by]` maps suspected node → entry. A shard
+/// holds the rows of its own observers only.
 #[derive(Clone, Debug, Default)]
 pub struct Blacklist {
-    per: Vec<BTreeMap<NodeId, Entry>>,
+    per: NodeRows<BTreeMap<NodeId, Entry>>,
     /// Total blacklisting events over the run (re-blacklisting after
     /// expiry counts again).
     pub blacklisted_total: u64,
@@ -77,10 +79,10 @@ pub struct Blacklist {
 }
 
 impl Blacklist {
-    /// A blacklist for `n` nodes, all empty.
-    pub fn new(n: usize) -> Self {
+    /// Empty blacklists for the observers `ids`.
+    pub fn new(ids: Range<usize>) -> Self {
         Blacklist {
-            per: vec![BTreeMap::new(); n],
+            per: NodeRows::new(ids, BTreeMap::new()),
             blacklisted_total: 0,
             peak: 0,
         }
@@ -89,7 +91,7 @@ impl Blacklist {
     /// Register a strike by `by` against `of` at `now`. Returns true when
     /// this strike newly blacklisted `of` (for confusion accounting).
     pub fn strike(&mut self, by: NodeId, of: NodeId, now: SimMillis, p: &DefenseParams) -> bool {
-        let e = self.per[by.idx()].entry(of).or_insert(Entry {
+        let e = self.per[by].entry(of).or_insert(Entry {
             strikes: 0,
             window_start: now,
             until: 0,
@@ -116,7 +118,7 @@ impl Blacklist {
     /// Is `of` currently blacklisted by `by`? Read-only — expired entries
     /// simply stop matching (they are swept lazily on `clear_node`).
     pub fn is_blacklisted(&self, by: NodeId, of: NodeId, now: SimMillis) -> bool {
-        self.per[by.idx()].get(&of).is_some_and(|e| e.until > now)
+        self.per[by].get(&of).is_some_and(|e| e.until > now)
     }
 
     /// Number of active (unexpired) entries across all observers.
@@ -129,10 +131,12 @@ impl Blacklist {
 
     /// A node churned away and was replaced: forget its own suspicions and
     /// everyone's suspicions about it — the new occupant of the slot is a
-    /// different machine.
+    /// different machine. Touches the held observers' rows only.
     pub fn clear_node(&mut self, node: NodeId) {
-        self.per[node.idx()].clear();
-        for m in &mut self.per {
+        if self.per.owns(node) {
+            self.per[node].clear();
+        }
+        for m in self.per.iter_mut() {
             m.remove(&node);
         }
     }
@@ -148,7 +152,7 @@ mod tests {
 
     #[test]
     fn single_strike_does_not_blacklist() {
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         assert!(!b.strike(NodeId(0), NodeId(1), 1_000, &p()));
         assert!(!b.is_blacklisted(NodeId(0), NodeId(1), 1_001));
         assert_eq!(b.blacklisted_total, 0);
@@ -156,7 +160,7 @@ mod tests {
 
     #[test]
     fn threshold_strikes_within_window_blacklist() {
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         assert!(!b.strike(NodeId(0), NodeId(1), 1_000, &p()));
         assert!(b.strike(NodeId(0), NodeId(1), 30_000, &p()));
         assert!(b.is_blacklisted(NodeId(0), NodeId(1), 30_001));
@@ -168,7 +172,7 @@ mod tests {
     fn slow_but_honest_node_is_not_permanently_blacklisted() {
         // Isolated strikes spaced wider than the window never accumulate:
         // the occasional lost message cannot blacklist an honest node.
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         let params = p();
         for k in 0..10 {
             let t = 1_000 + k * (params.strike_window_ms + 1);
@@ -187,7 +191,7 @@ mod tests {
 
     #[test]
     fn entries_expire_and_can_reblacklist() {
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         let params = p();
         b.strike(NodeId(0), NodeId(1), 1_000, &params);
         assert!(b.strike(NodeId(0), NodeId(1), 2_000, &params));
@@ -202,7 +206,7 @@ mod tests {
 
     #[test]
     fn suspicion_is_per_observer() {
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         b.strike(NodeId(0), NodeId(1), 1_000, &p());
         b.strike(NodeId(0), NodeId(1), 2_000, &p());
         assert!(b.is_blacklisted(NodeId(0), NodeId(1), 3_000));
@@ -211,7 +215,7 @@ mod tests {
 
     #[test]
     fn clear_node_forgets_both_directions() {
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         b.strike(NodeId(0), NodeId(1), 1_000, &p());
         b.strike(NodeId(0), NodeId(1), 2_000, &p());
         b.strike(NodeId(1), NodeId(2), 1_000, &p());
@@ -223,8 +227,22 @@ mod tests {
     }
 
     #[test]
+    fn shard_rows_clear_a_foreign_node_from_their_observers_only() {
+        let mut b = Blacklist::new(2..4);
+        b.strike(NodeId(2), NodeId(0), 1_000, &p());
+        b.strike(NodeId(2), NodeId(0), 2_000, &p());
+        b.strike(NodeId(3), NodeId(1), 1_000, &p());
+        b.strike(NodeId(3), NodeId(1), 2_000, &p());
+        // Node 0 is another shard's: only suspicions about it go.
+        b.clear_node(NodeId(0));
+        assert!(!b.is_blacklisted(NodeId(2), NodeId(0), 3_000));
+        assert!(b.is_blacklisted(NodeId(3), NodeId(1), 3_000));
+        assert_eq!(b.active_total(3_000), 1);
+    }
+
+    #[test]
     fn while_listed_strikes_do_not_double_count() {
-        let mut b = Blacklist::new(4);
+        let mut b = Blacklist::new(0..4);
         let params = p();
         b.strike(NodeId(0), NodeId(1), 1_000, &params);
         assert!(b.strike(NodeId(0), NodeId(1), 2_000, &params));

@@ -51,10 +51,11 @@ use soc_overlay::{
 };
 use soc_psm::{NodeExec, PsmConfig, RunningTask};
 use soc_simcore::{stream_rng, stream_rng_shard, EventQueue, RngStreams};
-use soc_types::{NodeId, QueryId, ResVec, SimMillis, TaskId, PERF_DIMS};
+use soc_types::{NodeId, NodeRows, QueryId, ResVec, SimMillis, TaskId, PERF_DIMS};
 use soc_workload::{cmax, SyntheticSource, WorkloadSource};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
 
@@ -75,12 +76,12 @@ fn exec_mode_from_env() -> ExecMode {
     }
 }
 
-/// Host-side state visible to protocols. Each shard holds a full-size
-/// copy: the `execs` rows are authoritative only for the shard's own
-/// nodes, while `alive` and the fault flags are replicated everywhere and
-/// re-synchronized by the coordinator on churn (the only writer).
+/// Host-side state visible to protocols. The per-node rows (`execs`, the
+/// blacklists) cover the shard's own node ids only, while `alive` and the
+/// fault flags are replicated everywhere and re-synchronized by the
+/// coordinator on churn (the only writer).
 struct Hosts {
-    execs: Vec<NodeExec>,
+    execs: NodeRows<NodeExec>,
     alive: Vec<bool>,
     cmax: ResVec,
     /// Injected-fault state: which nodes are blackholes/liars, loss
@@ -106,7 +107,7 @@ impl HostInfo for Hosts {
             // and see the real availability.
             return self.cmax;
         }
-        self.execs[node.idx()].availability()
+        self.execs[node].availability()
     }
     fn cmax(&self) -> &ResVec {
         &self.cmax
@@ -289,7 +290,7 @@ struct Shard<P: DiscoveryOverlay> {
     /// superseded) and is discarded in O(1); a new prediction equal to the
     /// already-scheduled fire time re-validates the queued event instead of
     /// enqueueing a duplicate.
-    comp_sched: Vec<Option<(SimMillis, u64)>>,
+    comp_sched: NodeRows<Option<(SimMillis, u64)>>,
     comp_scheduled: u64,
     comp_dedup_skips: u64,
     comp_dead_pops: u64,
@@ -672,7 +673,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
     /// race). A rejected task with no candidates left fails.
     fn on_task_arrive(&mut self, to: NodeId, mut spec: DispatchSpec, world: &World) {
         let alive = self.hosts.alive[to.idx()];
-        let qualifies = alive && self.hosts.execs[to.idx()].qualifies(&spec.expect);
+        let qualifies = alive && self.hosts.execs[to].qualifies(&spec.expect);
         if qualifies {
             self.start_task_on(to, spec);
             return;
@@ -707,20 +708,20 @@ impl<P: DiscoveryOverlay> Shard<P> {
             spec.submitted_at,
             now,
         );
-        self.hosts.execs[node.idx()].add_task(now, task);
+        self.hosts.execs[node].add_task(now, task);
         self.schedule_completion(node);
     }
 
     fn schedule_completion(&mut self, node: NodeId) {
         let now = self.now;
-        let exec = &mut self.hosts.execs[node.idx()];
+        let exec = &mut self.hosts.execs[node];
         let t = self.prof.start();
         let predicted = exec.next_completion(now);
         self.prof.stop(Phase::PsmPredict, t);
         match predicted {
             Some(at) => {
                 let epoch = exec.epoch();
-                match self.comp_sched[node.idx()] {
+                match self.comp_sched[node] {
                     // Epoch-aware memo: the queued event already fires at
                     // the newly predicted instant — keep it (with its old
                     // epoch tag, which the memo vouches for) instead of
@@ -729,14 +730,14 @@ impl<P: DiscoveryOverlay> Shard<P> {
                         self.comp_dedup_skips += 1;
                     }
                     _ => {
-                        self.comp_sched[node.idx()] = Some((at, epoch));
+                        self.comp_sched[node] = Some((at, epoch));
                         self.comp_scheduled += 1;
                         self.queue.schedule_at(at, Ev::Completion { node, epoch });
                     }
                 }
             }
             // Idle/starved: whatever is still queued is now stale.
-            None => self.comp_sched[node.idx()] = None,
+            None => self.comp_sched[node] = None,
         }
     }
 
@@ -746,14 +747,13 @@ impl<P: DiscoveryOverlay> Shard<P> {
         // time *and* the epoch tag it was enqueued under — may collect.
         // Everything else is a superseded prediction (or a dead/rejoined
         // node's leftover) and is dropped in O(1).
-        let live =
-            self.hosts.alive[node.idx()] && self.comp_sched[node.idx()] == Some((now, epoch));
+        let live = self.hosts.alive[node.idx()] && self.comp_sched[node] == Some((now, epoch));
         if !live {
             self.comp_dead_pops += 1;
             return;
         }
-        self.comp_sched[node.idx()] = None;
-        let finished = self.hosts.execs[node.idx()].collect_finished(now);
+        self.comp_sched[node] = None;
+        let finished = self.hosts.execs[node].collect_finished(now);
         for f in finished {
             let (expect_s, is_local) = self
                 .task_info
@@ -780,7 +780,7 @@ impl<P: DiscoveryOverlay> Shard<P> {
 
         let spec = src.next_task(node, now, &mut self.rng_work);
 
-        if self.sc.local_exec && self.hosts.execs[node.idx()].qualifies(&spec.expect) {
+        if self.sc.local_exec && self.hosts.execs[node].qualifies(&spec.expect) {
             // Satisfied by the local scheduler: the discovery protocol is
             // never exercised, so the task stays out of T/F-Ratio (the
             // paper's "submitted" denominator is overlay submissions).
@@ -808,7 +808,10 @@ impl<P: DiscoveryOverlay> Shard<P> {
             // Oracle scenarios force a single shard, so this shard's alive
             // flags and executors are globally authoritative.
             let matching = (0..self.hosts.alive.len())
-                .filter(|&i| self.hosts.alive[i] && self.hosts.execs[i].qualifies(&spec.expect))
+                .map(|i| NodeId(i as u32))
+                .filter(|&n| {
+                    self.hosts.alive[n.idx()] && self.hosts.execs[n].qualifies(&spec.expect)
+                })
                 .count();
             self.oracle_match_sum += matching as u64;
             if matching > 0 {
@@ -1074,11 +1077,11 @@ impl<'s> Coord<'s> {
         {
             let mut vs = shards[vshard].lock().expect("shard lock");
             vs.now = now;
-            let drained = vs.hosts.execs[victim.idx()].drain_tasks(now);
+            let drained = vs.hosts.execs[victim].drain_tasks(now);
             // Its scheduled completion (if any) dies with it; clearing the
             // memo also stops a later incarnation of the id from matching
             // the leftover event through an epoch collision.
-            vs.comp_sched[victim.idx()] = None;
+            vs.comp_sched[victim] = None;
             for t in drained {
                 let (_, is_local) = vs
                     .task_info
@@ -1155,12 +1158,13 @@ impl<'s> Coord<'s> {
             s.lock().expect("shard lock").hosts.alive[victim.idx()] = false;
         }
         self.live_remove(victim);
-        // Every protocol replica drops its row for the victim (the hook is
-        // local bookkeeping by contract: no sends, no RNG).
-        for s in shards {
-            let mut sh = s.lock().expect("shard lock");
-            sh.now = now;
-            sh.with_proto(&w, |p, ctx| p.on_node_left(ctx, victim));
+        // The victim's own shard resets its rows (the hook is row-local
+        // bookkeeping by contract: no sends, no RNG). The queries it drops
+        // are the victim's own, and queries live on the requester's shard.
+        {
+            let mut vs = shards[vshard].lock().expect("shard lock");
+            vs.now = now;
+            vs.with_proto(&w, |p, ctx| p.on_node_left(ctx, victim));
         }
         // Zone-reassignment notifications go to each affected node's own
         // shard (the hook draws per-node randomness and sends adverts).
@@ -1206,8 +1210,8 @@ impl<'s> Coord<'s> {
         let oshard = w.shard_of[newcomer.idx()];
         {
             let mut os = shards[oshard].lock().expect("shard lock");
-            os.hosts.execs[newcomer.idx()] = NodeExec::new(cap, PsmConfig::default());
-            os.comp_sched[newcomer.idx()] = None;
+            os.hosts.execs[newcomer] = NodeExec::new(cap, PsmConfig::default());
+            os.comp_sched[newcomer] = None;
         }
         // Churn replacements are as likely to be hostile as the original
         // population (internally gated per fraction — no draw when clean).
@@ -1267,6 +1271,36 @@ impl<'s> Coord<'s> {
             self.cq.schedule_at(now + self.sc.sample_ms, CoEv::Sample);
         }
     }
+}
+
+/// Whole-LAN shard groupings for at most `s_target` shards: node → shard
+/// (`shard = lan / lans_per_shard`, the single source of truth), and each
+/// shard's node-id range. Shards are consecutive LAN groups and `lan_of =
+/// id / lan_size`, so every shard owns a contiguous id range; the ranges
+/// are derived from the node → shard map, asserted contiguous, and
+/// partition `0..max_nodes` in shard order.
+fn partition(
+    topo: &LanTopology,
+    max_nodes: usize,
+    s_target: usize,
+) -> (Vec<usize>, Vec<Range<usize>>) {
+    let n_lans = topo.n_lans() as usize;
+    let lans_per_shard = n_lans.div_ceil(s_target);
+    let n_shards = (n_lans - 1) / lans_per_shard + 1;
+    let shard_of: Vec<usize> = (0..max_nodes)
+        .map(|i| topo.lan_of(NodeId(i as u32)) as usize / lans_per_shard)
+        .collect();
+    let mut ids: Vec<Range<usize>> = Vec::with_capacity(n_shards);
+    for (i, &s) in shard_of.iter().enumerate() {
+        if ids.len() == s + 1 {
+            ids[s].end = i + 1;
+        } else {
+            assert_eq!(ids.len(), s, "shard {s} owns a non-contiguous id range");
+            ids.push(i..i + 1);
+        }
+    }
+    assert_eq!(ids.len(), n_shards, "a shard owns no node ids");
+    (shard_of, ids)
 }
 
 /// Build the shard decomposition and the coordinator for one run.
@@ -1336,7 +1370,7 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
             None => 8.min(n_lans),
         }
     };
-    if s_target > 1 && proto.fork_shard().is_none() {
+    if s_target > 1 && proto.fork_shard(0..0).is_none() {
         s_target = 1;
     }
     let mut fork0: Option<Box<dyn WorkloadSource>> = None;
@@ -1346,13 +1380,9 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
             s_target = 1;
         }
     }
-    // Whole-LAN groupings: shard = lan / lans_per_shard. Computed only
-    // after the final shard count is known.
-    let lans_per_shard = n_lans.div_ceil(s_target);
-    let n_shards = (n_lans - 1) / lans_per_shard + 1;
-    let shard_of: Vec<usize> = (0..max_nodes)
-        .map(|i| topo.lan_of(NodeId(i as u32)) as usize / lans_per_shard)
-        .collect();
+    // Computed only after the final shard count is known.
+    let (shard_of, ids) = partition(&topo, max_nodes, s_target);
+    let n_shards = ids.len();
     let mut forks: Vec<Option<Box<dyn WorkloadSource>>> = Vec::with_capacity(n_shards);
     forks.push(fork0);
     for s in 1..n_shards {
@@ -1360,14 +1390,19 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
             "workload source forked shard 0 but refused a later shard",
         )));
     }
-    let mut protos: Vec<P> = Vec::with_capacity(n_shards);
-    protos.push(proto);
-    for _ in 1..n_shards {
-        let f = protos[0]
-            .fork_shard()
-            .expect("protocol answered the fork probe but refused a shard fork");
-        protos.push(f);
-    }
+    // Each shard's instance holds rows for its own ids only; a single
+    // shard runs the caller's instance, which covers every id.
+    let protos: Vec<P> = if n_shards == 1 {
+        vec![proto]
+    } else {
+        ids.iter()
+            .map(|r| {
+                proto
+                    .fork_shard(r.clone())
+                    .expect("protocol answered the fork probe but refused a shard fork")
+            })
+            .collect()
+    };
     let threaded = mode == ExecMode::Sharded && n_shards > 1;
 
     let live: Vec<NodeId> = (0..sc.n_nodes).map(|i| NodeId(i as u32)).collect();
@@ -1380,8 +1415,9 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
     let shards: Vec<Mutex<Shard<P>>> = protos
         .into_iter()
         .zip(forks)
+        .zip(ids)
         .enumerate()
-        .map(|(id, (proto, source))| {
+        .map(|(id, ((proto, source), ids))| {
             Mutex::new(Shard {
                 id,
                 sc: *sc,
@@ -1389,11 +1425,11 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
                 now: 0,
                 proto,
                 hosts: Hosts {
-                    execs: caps.iter().map(|c| NodeExec::new(*c, psm_cfg)).collect(),
+                    execs: NodeRows::from_fn(ids.clone(), |i| NodeExec::new(caps[i], psm_cfg)),
                     alive: alive.clone(),
                     cmax: cmax(),
                     fault: fault_master.clone(),
-                    blacklist: Blacklist::new(max_nodes),
+                    blacklist: Blacklist::new(ids.clone()),
                     defense_on,
                 },
                 queue: EventQueue::with_capacity(1 << 16),
@@ -1402,7 +1438,7 @@ fn bootstrap<'s, P: DiscoveryOverlay>(
                 fx_buf: Vec::new(),
                 fx_next: Vec::new(),
                 task_info: BTreeMap::new(),
-                comp_sched: vec![None; max_nodes],
+                comp_sched: NodeRows::new(ids, None),
                 comp_scheduled: 0,
                 comp_dedup_skips: 0,
                 comp_dead_pops: 0,
@@ -2210,6 +2246,43 @@ mod exec_tests {
     use crate::scenario::Scenario;
     use rand::SeedableRng;
     use soc_net::FaultConfig;
+
+    /// Shard id ranges partition `0..max_nodes` exactly, in shard order,
+    /// cut only on LAN boundaries, and agree with `shard_of` — with a
+    /// partial last LAN, LAN counts the shard count does not divide, and
+    /// the single-shard case.
+    #[test]
+    fn shard_ranges_partition_ids_on_lan_boundaries() {
+        // (max_nodes, lan_size, shard target)
+        for (max_nodes, lan_size, s_target) in [
+            (110, 20, 4), // 6 LANs, the last one partial: 2+2+2
+            (140, 20, 3), // 7 LANs: 3+3+1
+            (187, 32, 8), // 6 LANs, partial last one, fewer LANs than target
+            (100, 10, 8), // 10 LANs: 2+2+2+2+2
+            (150, 20, 5), // 8 LANs: 2+2+2+2
+            (75, 20, 1),  // single shard
+            (5, 32, 1),   // single, partial LAN
+        ] {
+            let mut rng = SmallRng::seed_from_u64(1);
+            let topo = LanTopology::new(max_nodes, lan_size, LatencyConfig::default(), &mut rng);
+            let (shard_of, ids) = partition(&topo, max_nodes, s_target);
+            let tag = format!("max_nodes={max_nodes} lan_size={lan_size} s_target={s_target}");
+            assert!(!ids.is_empty() && ids.len() <= s_target, "{tag}: {ids:?}");
+            assert_eq!(ids[0].start, 0, "{tag}");
+            assert_eq!(ids.last().unwrap().end, max_nodes, "{tag}");
+            for (s, r) in ids.iter().enumerate() {
+                assert!(!r.is_empty(), "{tag}: shard {s} is empty");
+                if s + 1 < ids.len() {
+                    assert_eq!(r.end, ids[s + 1].start, "{tag}: gap or overlap");
+                    assert_eq!(r.end % lan_size, 0, "{tag}: cut inside a LAN");
+                }
+                assert!(r.clone().all(|i| shard_of[i] == s), "{tag}: shard {s}");
+            }
+            if s_target == 1 {
+                assert_eq!((ids.len(), &ids[0]), (1, &(0..max_nodes)), "{tag}");
+            }
+        }
+    }
 
     /// The canonical cross-shard order is, by definition, ascending
     /// `(timestamp, sender shard, emission sequence)`. 256 randomized
